@@ -12,8 +12,7 @@ export PYTHONPATH := src
 	bench-serving-smoke bench-fabric bench-fabric-smoke \
 	bench-parallel bench-parallel-smoke bench-train \
 	bench-train-smoke bench-chaos bench-chaos-smoke \
-	bench-obs bench-obs-smoke bench-ingest bench-ingest-smoke \
-	bench-serve bench-serve-smoke
+	bench-obs bench-obs-smoke bench-ingest bench-ingest-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,7 +21,7 @@ test:
 # checks on fresh smoke artifacts) -- the one-command CI gate.
 verify: test bench-smoke bench-serving-smoke bench-fabric-smoke \
 	bench-parallel-smoke bench-train-smoke bench-chaos-smoke \
-	bench-obs-smoke bench-ingest-smoke bench-serve-smoke
+	bench-obs-smoke bench-ingest-smoke
 
 # Full simulator-throughput matrix; writes BENCH_sim_throughput.json.
 bench-throughput:
@@ -119,24 +118,6 @@ bench-ingest-smoke:
 		--output BENCH_ingest_throughput.smoke.json
 	$(PYTHON) benchmarks/bench_ingest_throughput.py \
 		--validate BENCH_ingest_throughput.smoke.json
-
-# Full pipelined-front-end scorecard (sync loop vs deterministic and
-# throughput pipelines on a streaming-CSV drift scenario; acceptance:
-# deterministic runs byte-identical to sync including telemetry
-# digests, zero requests lost or reordered, off-path refresh stall
-# <= 10% of the inline build cost, and -- on multi-core hosts --
-# >= 1.5x pipelined speedup); writes BENCH_serve_throughput.json.
-bench-serve:
-	$(PYTHON) benchmarks/bench_serve_throughput.py
-
-# Short pipelined stream, then schema-validate the emitted JSON (the
-# speedup gate is recorded but only enforced on multi-core full runs;
-# the parity and zero-loss gates bind everywhere).
-bench-serve-smoke:
-	$(PYTHON) benchmarks/bench_serve_throughput.py --smoke \
-		--output BENCH_serve_throughput.smoke.json
-	$(PYTHON) benchmarks/bench_serve_throughput.py \
-		--validate BENCH_serve_throughput.smoke.json
 
 # Full telemetry-overhead scorecard (enabled vs disabled replay per
 # layer; acceptance: <= 5% hot-path overhead, byte-identical results

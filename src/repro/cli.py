@@ -45,7 +45,6 @@ from repro.chaos import (
 )
 from repro.core.config import (
     PARALLEL_BACKENDS,
-    PIPELINE_MODES,
     PLACEMENTS,
     STRATEGIES,
     ChaosConfig,
@@ -72,7 +71,7 @@ from repro.hardware import (
     estimate_icgmm_system,
     estimate_lstm_engine,
 )
-from repro.serving import IcgmmCacheService, ServingFrontend
+from repro.serving import IcgmmCacheService
 from repro.traces.io import (
     load_trace,
     save_trace_csv,
@@ -210,23 +209,6 @@ def _add_serve(subparsers) -> None:
     parser.add_argument(
         "--report-every", type=int, default=8,
         help="chunks between progress lines",
-    )
-    parser.add_argument(
-        "--pipeline",
-        choices=PIPELINE_MODES,
-        default="off",
-        help=(
-            "run the stream through the pipelined front-end:"
-            " 'deterministic' interleaves producer and consumer on a"
-            " fixed logical clock (byte-identical to the plain loop),"
-            " 'throughput' overlaps ingest with replay and moves"
-            " model refresh off the critical path; 'off' keeps the"
-            " synchronous loop (see docs/serving.md)"
-        ),
-    )
-    parser.add_argument(
-        "--queue-chunks", type=int, default=8,
-        help="ingest queue capacity in chunks (pipelined modes)",
     )
     _add_parallel_arguments(parser, "shard replays")
     _add_chaos_seed_argument(parser)
@@ -634,6 +616,24 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+class _TraceReadError(Exception):
+    """A row of a lazily parsed trace file was malformed."""
+
+
+def _checked_chunks(chunks):
+    """Re-raise a trace chunk iterator's parse errors as
+    :class:`_TraceReadError`.
+
+    Trace files parse chunk by chunk as serving consumes them, so a
+    malformed row surfaces mid-run; the distinct type keeps it apart
+    from errors raised by the serving loop itself.
+    """
+    try:
+        yield from chunks
+    except ValueError as exc:
+        raise _TraceReadError(str(exc)) from exc
+
+
 def _cmd_serve(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = _config_from_args(args)
@@ -655,9 +655,6 @@ def _cmd_serve(args) -> int:
             strategy=args.strategy,
             refresh_enabled=not args.no_refresh,
             parallel=_parallel_from_args(args, chaos),
-            pipeline=args.pipeline,
-            ingest_queue_chunks=args.queue_chunks,
-            refresh_async=args.pipeline == "throughput",
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -684,6 +681,7 @@ def _cmd_serve(args) -> int:
         except (OSError, ValueError, zipfile.BadZipFile) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        chunk_iter = _checked_chunks(chunk_iter)
     elif args.drift:
         half = args.length // 2
         head = multi_tenant_trace(
@@ -738,11 +736,15 @@ def _cmd_serve(args) -> int:
     buffered: list = []
     if args.trace:
         got = 0
-        for trace_chunk in chunk_iter:
-            buffered.append(trace_chunk)
-            got += len(trace_chunk)
-            if got >= n_train:
-                break
+        try:
+            for trace_chunk in chunk_iter:
+                buffered.append(trace_chunk)
+                got += len(trace_chunk)
+                if got >= n_train:
+                    break
+        except _TraceReadError as exc:
+            print(f"error: {args.trace}: {exc}", file=sys.stderr)
+            return 2
         train_pages = (
             np.concatenate(
                 [c.page_indices() for c in buffered]
@@ -813,32 +815,28 @@ def _cmd_serve(args) -> int:
                     is_write[start : start + step],
                 )
 
-    front_report = None
     try:
-        if args.pipeline != "off":
-            frontend = ServingFrontend(service)
-            front_report = frontend.run(_windows())
-        else:
-            for window_pages, window_writes in _windows():
-                reports = service.ingest(window_pages, window_writes)
-                window_hits = sum(r.stats.hits for r in reports)
-                window_total = sum(
-                    r.stats.accesses for r in reports
-                )
-                window_miss = (
-                    100.0 * (1.0 - window_hits / window_total)
-                    if window_total
-                    else 0.0
-                )
-                swapped = any(r.swapped for r in reports)
-                emit(
-                    f"  cursor {service.access_cursor:>9,d}"
-                    f"  window miss {window_miss:6.2f}%"
-                    f"  generation {service.generation}"
-                    f"{'  [engine swapped]' if swapped else ''}"
-                )
+        for window_pages, window_writes in _windows():
+            reports = service.ingest(window_pages, window_writes)
+            window_hits = sum(r.stats.hits for r in reports)
+            window_total = sum(r.stats.accesses for r in reports)
+            window_miss = (
+                100.0 * (1.0 - window_hits / window_total)
+                if window_total
+                else 0.0
+            )
+            swapped = any(r.swapped for r in reports)
+            emit(
+                f"  cursor {service.access_cursor:>9,d}"
+                f"  window miss {window_miss:6.2f}%"
+                f"  generation {service.generation}"
+                f"{'  [engine swapped]' if swapped else ''}"
+            )
 
         summary = service.summary()
+    except _TraceReadError as exc:
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 2
     finally:
         # Deterministic teardown even on a failed ingest: the shard
         # executor pool (and any shared planes) must not leak.
@@ -879,24 +877,6 @@ def _cmd_serve(args) -> int:
         f" {len(summary['swaps'])} engine swap(s),"
         f" generation {summary['generation']}"
     )
-    if front_report is not None:
-        emit(
-            f"pipeline {front_report.mode}:"
-            f" {front_report.consumed_chunks} chunk(s) /"
-            f" {front_report.consumed_requests:,} request(s),"
-            f" queue depth max {front_report.queue['max_depth']}"
-            f"/{front_report.queue['capacity']},"
-            f" {front_report.backpressure_stalls} backpressure"
-            " stall(s),"
-            f" {front_report.refresh_overlap_chunks} chunk(s) under"
-            " off-path refresh"
-        )
-        if front_report.latency_p50_us is not None:
-            emit(
-                "pipeline request latency:"
-                f" p50 {front_report.latency_p50_us:,.1f}us,"
-                f" p99 {front_report.latency_p99_us:,.1f}us"
-            )
     if "chaos" in summary:
         chaos = summary["chaos"]
         emit(

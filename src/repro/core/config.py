@@ -51,10 +51,6 @@ EM_RESTART_MODES = ("batched", "sequential")
 #: (see :class:`repro.serving.refresh.ModelRefresher`).
 REFRESH_MODES = ("warm", "stepwise")
 
-#: Valid values of :attr:`ServingConfig.pipeline`
-#: (see :class:`repro.serving.frontend.ServingFrontend`).
-PIPELINE_MODES = ("off", "deterministic", "throughput")
-
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -771,30 +767,6 @@ class ServingConfig:
         for: no observations, no refresh attempts.  On expiry the
         detector is rebased (fresh baseline under the still-serving
         engine) and the failure count resets.
-    pipeline:
-        Serving front-end mode
-        (:class:`repro.serving.frontend.ServingFrontend`).  ``"off"``
-        (default) is the plain synchronous chunk loop -- the service
-        behaves exactly as before the front-end existed.
-        ``"deterministic"`` runs the producer/consumer pipeline on a
-        fixed logical-clock interleave (byte-identical to the sync
-        loop, chunk for chunk); ``"throughput"`` overlaps ingest with
-        compute through a real producer thread and moves refresh
-        builds off the critical path (:attr:`refresh_async`).
-    ingest_queue_chunks:
-        Capacity (in chunks) of the front-end's bounded ingest queue.
-        A full queue blocks the producer -- explicit backpressure --
-        and every blocked put is accounted.
-    refresh_async:
-        Run :class:`~repro.serving.refresh.ModelRefresher` builds in
-        a background executor worker instead of inline: the service
-        keeps serving chunks on the old engine while the refresh
-        builds, and the finished engine is committed through the
-        same compare-and-swap :meth:`~repro.serving.refresh.EngineSlot.swap`
-        (discarded on :class:`~repro.serving.refresh.StaleSwapError`).
-        Which chunk harvests the finished build depends on wall-clock
-        build time, so this knob is rejected in ``"deterministic"``
-        pipeline mode and implied by ``"throughput"`` deployments.
     """
 
     chunk_requests: int = 8192
@@ -820,9 +792,6 @@ class ServingConfig:
     refresh_backoff_chunks: int = 2
     refresh_breaker_threshold: int = 3
     quarantine_chunks: int = 16
-    pipeline: str = "off"
-    ingest_queue_chunks: int = 8
-    refresh_async: bool = False
 
     def __post_init__(self) -> None:
         if self.chunk_requests < 1:
@@ -882,16 +851,3 @@ class ServingConfig:
             raise ValueError("refresh_breaker_threshold must be >= 1")
         if self.quarantine_chunks < 1:
             raise ValueError("quarantine_chunks must be >= 1")
-        if self.pipeline not in PIPELINE_MODES:
-            raise ValueError(
-                f"pipeline must be one of {PIPELINE_MODES}, got"
-                f" {self.pipeline!r}"
-            )
-        if self.ingest_queue_chunks < 1:
-            raise ValueError("ingest_queue_chunks must be >= 1")
-        if self.refresh_async and self.pipeline == "deterministic":
-            raise ValueError(
-                "refresh_async breaks the deterministic pipeline's"
-                " byte-parity contract (harvest timing is wall-clock);"
-                " use pipeline='throughput'"
-            )

@@ -254,89 +254,6 @@ def register_health_monitor(
     registry.register_collector(collect)
 
 
-def register_frontend(registry: MetricsRegistry, frontend) -> None:
-    """Export a ``ServingFrontend``'s queue/latency accounting.
-
-    Every family is flagged non-deterministic: queue depths and
-    request latencies are wall-clock artifacts of the schedule, and
-    keeping them out of the snapshot digest is what lets the
-    deterministic pipeline mode digest byte-identically to the plain
-    synchronous loop.  The request-latency histogram is republished
-    bucket-for-bucket from the front-end's ``RollingMetrics``
-    accumulator (same fixed edges), so Prometheus/JSON consumers see
-    the exact distribution the p50/p99 helpers are computed from.
-    """
-    depth = registry.gauge(
-        "frontend_queue_depth_chunks",
-        help="Chunks buffered in the ingest queue right now.",
-        deterministic=False,
-    )
-    max_depth = registry.gauge(
-        "frontend_queue_max_depth_chunks",
-        help="High-water mark of the ingest queue.",
-        deterministic=False,
-    )
-    stalls = registry.counter(
-        "frontend_backpressure_stalls_total",
-        help="Producer puts refused or blocked by a full queue.",
-        deterministic=False,
-    )
-    producer_wait = registry.gauge(
-        "frontend_producer_wait_seconds",
-        help="Wall time the producer spent blocked on backpressure.",
-        deterministic=False,
-    )
-    ingest_wait = registry.gauge(
-        "frontend_ingest_wait_seconds",
-        help="Wall time the consumer spent waiting for chunks.",
-        deterministic=False,
-    )
-    chunks = registry.counter(
-        "frontend_chunks_total",
-        help="Chunks consumed through the pipeline.",
-        deterministic=False,
-    )
-    requests = registry.counter(
-        "frontend_requests_total",
-        help="Requests consumed through the pipeline.",
-        deterministic=False,
-    )
-    overlap = registry.counter(
-        "frontend_refresh_overlap_chunks_total",
-        help="Chunks served while a refresh built off-path.",
-        deterministic=False,
-    )
-    latency = registry.histogram(
-        "frontend_request_latency_us",
-        edges=tuple(frontend.request_metrics.latency_edges_us),
-        help="Per-request service latency (chunk wall time).",
-        deterministic=False,
-    )
-
-    def collect() -> None:
-        queue = frontend.queue
-        if queue is not None:
-            depth.set(queue.depth)
-            max_depth.set(queue.max_depth)
-            stalls.set(queue.blocked_puts)
-            producer_wait.set(queue.producer_wait_s)
-            ingest_wait.set(queue.consumer_wait_s)
-        chunks.set(frontend.consumed_chunks)
-        requests.set(frontend.consumed_requests)
-        overlap.set(frontend.service.refresh_overlap_chunks)
-        observed = frontend.request_metrics.latency_histogram(
-            "request"
-        )
-        if observed is not None:
-            edges, counts, sum_us, total = observed
-            child = latency.labels()
-            child.counts[:] = counts
-            child.sum = float(sum_us)
-            child.count = int(total)
-
-    registry.register_collector(collect)
-
-
 def register_refresher(registry: MetricsRegistry, refresher) -> None:
     """Export a ``ModelRefresher``'s build/buffer state."""
     built = registry.counter(

@@ -10,12 +10,6 @@ for how the loop degrades and recovers under injected faults.
 """
 
 from repro.serving.drift import DriftDetector, DriftReport, ks_statistic
-from repro.serving.frontend import (
-    ChunkProducer,
-    FrontendReport,
-    IngestQueue,
-    ServingFrontend,
-)
 from repro.serving.health import FleetHealthMonitor
 from repro.serving.metrics import FailureEvent, RollingMetrics
 from repro.serving.refresh import (
@@ -32,19 +26,15 @@ from repro.serving.service import (
 from repro.serving.sharding import ShardedCachePlanes
 
 __all__ = [
-    "ChunkProducer",
     "ChunkReport",
     "DriftDetector",
     "DriftReport",
     "EngineSlot",
     "FailureEvent",
     "FleetHealthMonitor",
-    "FrontendReport",
     "IcgmmCacheService",
-    "IngestQueue",
     "ModelRefresher",
     "RollingMetrics",
-    "ServingFrontend",
     "ShardedCachePlanes",
     "StaleSwapError",
     "SwapEvent",

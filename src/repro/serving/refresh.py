@@ -232,20 +232,6 @@ class ModelRefresher:
         """Feature rows currently retained."""
         return sum(chunk.shape[0] for chunk in self._buffer)
 
-    def snapshot_features(self) -> np.ndarray | None:
-        """One immutable copy of the buffered traffic, or ``None``.
-
-        Off-critical-path builds must not read the live deque from a
-        worker thread -- :meth:`ingest` keeps appending while the
-        build runs, and a fold over a moving buffer would not be the
-        fold the serving loop decided on.  The consumer snapshots on
-        its own thread at submit time and hands the frozen array to
-        :meth:`build_from`.
-        """
-        if not self._buffer:
-            return None
-        return np.concatenate(list(self._buffer))
-
     def build(self, current: GmmPolicyEngine) -> GmmPolicyEngine:
         """Fold the buffered traffic into ``current``'s mixture.
 
@@ -254,25 +240,12 @@ class ModelRefresher:
         :attr:`mode`) and a threshold re-cut at the configured
         quantile of the buffered traffic's new scores.
         """
-        return self.build_from(self.snapshot_features(), current)
-
-    def build_from(
-        self,
-        features: np.ndarray | None,
-        current: GmmPolicyEngine,
-    ) -> GmmPolicyEngine:
-        """:meth:`build` over a pre-taken feature snapshot.
-
-        ``features`` is raw ``(N, 2)`` traffic (what
-        :meth:`snapshot_features` returns); ``None`` or empty means
-        there is nothing to fold and raises exactly like an
-        empty-buffer :meth:`build` -- after counting the attempt, so
-        the bookkeeping is identical on both entry points.
-        """
         self.builds_attempted += 1
-        if features is None or features.shape[0] == 0:
+        if not self._buffer:
             raise ValueError("no buffered features to refresh from")
-        scaled = current.scaler.transform(features)
+        scaled = current.scaler.transform(
+            np.concatenate(list(self._buffer))
+        )
         if self.mode == "warm":
             fit_points = scaled
             if scaled.shape[0] > self.max_fit_samples:

@@ -36,7 +36,6 @@ details, not approximations.  The equivalence test in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,32 +61,9 @@ from repro.serving.metrics import RollingMetrics
 from repro.serving.refresh import (
     EngineSlot,
     ModelRefresher,
-    StaleSwapError,
     validate_engine,
 )
 from repro.serving.sharding import ShardedCachePlanes
-
-
-def _timed_refresh_build(
-    refresher: ModelRefresher,
-    features: np.ndarray | None,
-    current: GmmPolicyEngine,
-) -> tuple[GmmPolicyEngine | None, Exception | None, float]:
-    """Worker body of an off-critical-path refresh build.
-
-    Runs on the refresh executor's thread; the feature snapshot was
-    taken by the consumer at submit time, so the build never touches
-    the live ingest buffer.  Always returns ``(engine, error,
-    seconds)`` -- the harvest side needs the off-path wall time even
-    when the fold fails.
-    """
-    started = time.perf_counter()
-    try:
-        engine = refresher.build_from(features, current)
-        error = None
-    except Exception as exc:  # noqa: BLE001 - harvested parent-side
-        engine, error = None, exc
-    return engine, error, time.perf_counter() - started
 
 
 class _PageScoreCache:
@@ -265,19 +241,6 @@ class IcgmmCacheService:
         self._quarantine_until = -(10**9)
         self._quarantined = False
         self._stall_retries = 0
-        # Off-critical-path refresh (ServingConfig.refresh_async):
-        # builds run on a dedicated single-worker thread executor and
-        # commit through the CAS swap; the serving loop keeps
-        # answering on the old engine meanwhile.  All state is None /
-        # zero when disabled, so the synchronous path is untouched.
-        self._refresh_executor: ParallelExecutor | None = None
-        self._pending_refresh: dict | None = None
-        self._refresh_overlap_chunks = 0
-        self._refresh_discarded = 0
-        if self.serving.refresh_async:
-            self._refresh_executor = ParallelExecutor(
-                workers=1, backend="thread"
-            )
         # Telemetry wiring mirrors chaos: None when disabled, so every
         # hot-path gate is an ``is not None`` check and the untraced
         # run executes the exact pre-telemetry code path.
@@ -344,27 +307,6 @@ class IcgmmCacheService:
             generation.set(self.slot.generation)
 
         registry.register_collector(collect)
-        if self.serving.refresh_async:
-            # Registered only for async deployments so synchronous
-            # runs keep their pre-async family set byte-identical;
-            # overlap depends on build wall time, hence
-            # non-deterministic.
-            overlap = registry.counter(
-                "serving_refresh_overlap_chunks_total",
-                help="Chunks served while a refresh built off-path.",
-                deterministic=False,
-            )
-            discarded = registry.counter(
-                "serving_refresh_discarded_total",
-                help="Background builds dropped (stale or at close).",
-                deterministic=False,
-            )
-
-            def collect_async() -> None:
-                overlap.set(self._refresh_overlap_chunks)
-                discarded.set(self._refresh_discarded)
-
-            registry.register_collector(collect_async)
         # Telemetry implies stage accounting: attach a profiler when
         # --profile did not already hang one on the pipeline.
         if self.pipeline.profiler is None:
@@ -440,6 +382,14 @@ class IcgmmCacheService:
 
         The span is cut into :attr:`ServingConfig.chunk_requests`
         chunks processed in order; returns one report per chunk.
+
+        Chunk boundaries restart at each call: a span whose length is
+        not a multiple of ``chunk_requests`` ends in a short chunk,
+        and drift observation, refresh timing and the rolling metrics
+        all follow the chunking.  Callers that want results to be
+        independent of how they split the stream therefore feed spans
+        that are multiples of ``chunk_requests`` -- the CLI's serve
+        loop feeds ``--report-every`` whole chunks per call.
         """
         pages = np.asarray(pages, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
@@ -662,28 +612,14 @@ class IcgmmCacheService:
 
         # --- refresh / swap (graceful on failure) -----------------------
         swapped = False
-        refresh_due = (
+        if (
             self.serving.refresh_enabled
             and drift is not None
             and drift.drifted
             and self._chunk_index - self._last_swap_chunk
             >= self.serving.refresh_cooldown_chunks
             and self._chunk_index >= self._refresh_block_until
-        )
-        if self._refresh_executor is not None:
-            # Off-critical-path deployment: harvest a finished
-            # background build first (it commits through the CAS
-            # swap), then submit a new one if drift demands it and
-            # none is in flight.  A pending build never blocks the
-            # chunk -- that is the whole point.
-            swapped = self._harvest_refresh(self._cursor + n)
-            if (
-                refresh_due
-                and not swapped
-                and self._pending_refresh is None
-            ):
-                self._submit_refresh(engine, generation)
-        elif refresh_due:
+        ):
             build_index = self._refresh_attempts
             self._refresh_attempts += 1
             fault = (
@@ -699,8 +635,7 @@ class IcgmmCacheService:
                     )
                 # The build blocks the request path here; its own
                 # profiler section keeps `serve --profile` honest
-                # about that on-path cost (and gives the async
-                # deployment's overlap numbers their baseline).
+                # about that on-path cost.
                 with self.pipeline.profile_stage("refresh"):
                     refreshed = self.refresher.build(engine)
                 if fault == "corrupt":
@@ -740,7 +675,7 @@ class IcgmmCacheService:
         return report
 
     # ------------------------------------------------------------------
-    # Refresh bookkeeping (shared by the on-path and off-path flows)
+    # Refresh bookkeeping
     # ------------------------------------------------------------------
     def _record_refresh_failure(
         self, build_index: int, exc: Exception
@@ -828,148 +763,15 @@ class IcgmmCacheService:
                 outcome="swapped",
             )
 
-    def _submit_refresh(
-        self, engine: GmmPolicyEngine, generation: int
-    ) -> None:
-        """Hand one build to the refresh executor (non-blocking).
-
-        The feature snapshot is taken *here*, on the consumer thread,
-        so the worker folds exactly the traffic the drift decision
-        saw -- not whatever the buffer holds when the thread gets
-        scheduled.  Injected ``"fail"`` faults resolve synchronously
-        (the inline path raises before building, so the bookkeeping
-        stays comparable); ``"corrupt"`` rides along to the harvest,
-        where validation must catch it.
-        """
-        build_index = self._refresh_attempts
-        self._refresh_attempts += 1
-        fault = (
-            self.injector.refresh_fault(build_index)
-            if self.injector is not None
-            else None
-        )
-        if fault == "fail":
-            self._record_refresh_failure(
-                build_index,
-                InjectedFaultError(
-                    f"injected refresh failure at build {build_index}"
-                ),
-            )
-            return
-        future = self._refresh_executor.submit(
-            _timed_refresh_build,
-            self.refresher,
-            self.refresher.snapshot_features(),
-            engine,
-        )
-        self._pending_refresh = {
-            "future": future,
-            "build": build_index,
-            "generation": generation,
-            "fault": fault,
-            "chunk": self._chunk_index,
-        }
-
-    def _harvest_refresh(
-        self, access_cursor: int, block: bool = False
-    ) -> bool:
-        """Land a finished background build; True if one swapped in.
-
-        Non-blocking by default: a build still running just bumps the
-        overlap counter (one per chunk served under it) and the chunk
-        goes on.  The harvest-side cost -- result pickup, validation,
-        CAS swap -- is the only refresh work left on the request path,
-        recorded as the ``refresh.onpath`` profiler section against
-        the worker's ``refresh.offpath`` build seconds.
-        """
-        pending = self._pending_refresh
-        if pending is None:
-            return False
-        future = pending["future"]
-        if not block and not future.done():
-            self._refresh_overlap_chunks += 1
-            return False
-        self._pending_refresh = None
-        profiler = self.pipeline.profiler
-        started = time.perf_counter()
-        swapped = False
-        refreshed, error, build_seconds = future.result()
-        if profiler is not None:
-            profiler.add("refresh.offpath", build_seconds)
-        try:
-            if error is not None:
-                raise error
-            if pending["fault"] == "corrupt":
-                refreshed = GmmPolicyEngine(
-                    model=refreshed.model,
-                    scaler=refreshed.scaler,
-                    admission_threshold=float("nan"),
-                )
-            validate_engine(refreshed)
-            self._commit_refresh(
-                refreshed,
-                pending["build"],
-                pending["generation"],
-                access_cursor,
-            )
-            swapped = True
-        except StaleSwapError:
-            # A newer engine landed between submit and harvest; the
-            # build is simply obsolete, not a failure -- no backoff.
-            self._refresh_discarded += 1
-            self.shard_metrics.record_event(
-                "engine",
-                "refresh-stale",
-                self._chunk_index,
-                build=pending["build"],
-            )
-        except Exception as exc:  # noqa: BLE001 - degrade, don't die
-            self._record_refresh_failure(pending["build"], exc)
-        if profiler is not None:
-            profiler.add(
-                "refresh.onpath", time.perf_counter() - started
-            )
-        return swapped
-
-    def drain_refresh(self) -> bool:
-        """Block until an in-flight background build lands (if any).
-
-        Called by the front-end when the stream ends, so a refresh
-        that started near the tail still commits (and its off-path
-        seconds are accounted) instead of being silently discarded by
-        :meth:`close`.  True if an engine swapped in.
-        """
-        if self._pending_refresh is None:
-            return False
-        return self._harvest_refresh(self._cursor, block=True)
-
-    @property
-    def refresh_overlap_chunks(self) -> int:
-        """Chunks served while a background refresh was building."""
-        return self._refresh_overlap_chunks
-
-    @property
-    def refresh_discarded(self) -> int:
-        """Background builds dropped (stale swap or service close)."""
-        return self._refresh_discarded
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pools and any shared-memory planes.
+        """Release the worker pool and any shared-memory planes.
 
-        Only needed for parallel/async deployments (inline execution
-        holds no pool and no shared segments); safe to call
-        repeatedly.  A background build still in flight is discarded,
-        never committed -- callers wanting it should
-        :meth:`drain_refresh` first.
+        Only needed for parallel deployments (inline execution holds
+        no pool and no shared segments); safe to call repeatedly.
         """
-        if self._refresh_executor is not None:
-            if self._pending_refresh is not None:
-                self._pending_refresh = None
-                self._refresh_discarded += 1
-            self._refresh_executor.shutdown()
         self._executor.shutdown()
         self.planes.close()
 
@@ -1007,13 +809,6 @@ class IcgmmCacheService:
             "shards": self.shard_metrics.snapshot(),
             "tenants": self.tenant_metrics.snapshot(),
         }
-        if self.serving.refresh_async:
-            out["refresh_async"] = {
-                "overlap_chunks": self._refresh_overlap_chunks,
-                "discarded": self._refresh_discarded,
-                "pending": self._pending_refresh is not None,
-                "attempts": self._refresh_attempts,
-            }
         if self.injector is not None:
             out["chaos"] = {
                 "timeline": self.injector.timeline(),

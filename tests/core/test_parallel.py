@@ -109,29 +109,6 @@ class TestMap:
                 executor.map(_boom, [3, 1])
 
 
-class TestSubmit:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_returns_future_with_result(self, workers):
-        with ParallelExecutor(workers, "thread") as executor:
-            future = executor.submit(_square, 7)
-            assert future.result(timeout=10) == 49
-
-    def test_counts_toward_dispatch_total(self):
-        with ParallelExecutor(2, "thread") as executor:
-            before = executor.tasks_dispatched
-            executor.submit(_square, 2).result(timeout=10)
-            executor.submit(_square, 3).result(timeout=10)
-            assert executor.tasks_dispatched == before + 2
-
-    def test_exception_surfaces_through_future(self):
-        # Unlike map(), submit() has no retry plumbing: the caller
-        # harvests the raw exception from the future.
-        with ParallelExecutor(2, "thread") as executor:
-            future = executor.submit(_boom, 3)
-            with pytest.raises(ValueError, match="boom on 3"):
-                future.result(timeout=10)
-
-
 class TestSharedCache:
     def test_behaves_like_fresh_cache(self):
         shared = SharedCache(GEOMETRY)

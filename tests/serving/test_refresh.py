@@ -133,6 +133,33 @@ class TestModelRefresher:
         with pytest.raises(ValueError, match="buffered"):
             refresher.build(engine)
 
+    def test_build_counts_attempt_before_raising(self):
+        rng = np.random.default_rng(7)
+        engine = _engine(_features(0, 4_000, rng))
+        refresher = ModelRefresher()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="buffered"):
+                refresher.build(engine)
+        # The refusal is still an attempt (the telemetry's build
+        # counter reads it); no engine was built.
+        assert refresher.builds_attempted == 2
+        assert refresher.refreshes_built == 0
+
+    def test_build_folds_buffer_in_ingest_order(self):
+        rng = np.random.default_rng(6)
+        engine = _engine(_features(0, 6_000, rng))
+        chunks = [_features(2_500, 1_000, rng) for _ in range(3)]
+        chunked = ModelRefresher(buffer_chunks=4)
+        for chunk in chunks:
+            chunked.ingest(chunk)
+        whole = ModelRefresher(buffer_chunks=4)
+        whole.ingest(np.concatenate(chunks))
+        a = chunked.build(engine)
+        b = whole.build(engine)
+        assert a.admission_threshold == b.admission_threshold
+        np.testing.assert_array_equal(a.model.weights, b.model.weights)
+        np.testing.assert_array_equal(a.model.means, b.model.means)
+
     def test_refresh_adapts_to_drifted_traffic(self):
         """Folding post-drift chunks in must raise the new traffic's
         likelihood well above the frozen engine's."""
@@ -179,64 +206,3 @@ class TestModelRefresher:
         refresher = ModelRefresher()
         with pytest.raises(ValueError, match=r"\(N, 2\)"):
             refresher.ingest(np.zeros((5, 3)))
-
-
-class TestSnapshotFeatures:
-    """The off-critical-path snapshot contract used by async refresh."""
-
-    def test_empty_buffer_snapshots_to_none(self):
-        assert ModelRefresher().snapshot_features() is None
-
-    def test_snapshot_is_an_immutable_copy(self):
-        # The worker thread folds over the snapshot while the serving
-        # loop keeps ingesting; later ingests (including ones that
-        # evict the snapshotted chunks from the bounded deque) must
-        # not change what the in-flight build sees.
-        refresher = ModelRefresher(buffer_chunks=2)
-        rng = np.random.default_rng(5)
-        first = _features(0, 300, rng)
-        refresher.ingest(first)
-        snapshot = refresher.snapshot_features()
-        np.testing.assert_array_equal(snapshot, first)
-        refresher.ingest(_features(9_000, 300, rng))
-        refresher.ingest(_features(9_000, 300, rng))
-        np.testing.assert_array_equal(snapshot, first)
-
-    def test_snapshot_concatenates_in_ingest_order(self):
-        refresher = ModelRefresher(buffer_chunks=4)
-        rng = np.random.default_rng(6)
-        chunks = [_features(0, 200, rng) for _ in range(3)]
-        for chunk in chunks:
-            refresher.ingest(chunk)
-        np.testing.assert_array_equal(
-            refresher.snapshot_features(), np.concatenate(chunks)
-        )
-
-    def test_build_from_counts_attempt_before_raising(self):
-        rng = np.random.default_rng(7)
-        engine = _engine(_features(0, 4_000, rng))
-        refresher = ModelRefresher()
-        with pytest.raises(ValueError, match="buffered"):
-            refresher.build_from(None, engine)
-        with pytest.raises(ValueError, match="buffered"):
-            refresher.build_from(np.empty((0, 2)), engine)
-        # Both entry points keep the same bookkeeping as an
-        # empty-buffer build(): the attempt is counted, no build is.
-        assert refresher.builds_attempted == 2
-        assert refresher.refreshes_built == 0
-
-    def test_build_equals_build_from_snapshot(self):
-        rng = np.random.default_rng(8)
-        engine = _engine(_features(0, 6_000, rng))
-        chunk = _features(2_500, 3_000, rng)
-        via_build = ModelRefresher()
-        via_build.ingest(chunk)
-        via_snapshot = ModelRefresher()
-        via_snapshot.ingest(chunk)
-        a = via_build.build(engine)
-        b = via_snapshot.build_from(
-            via_snapshot.snapshot_features(), engine
-        )
-        assert a.admission_threshold == b.admission_threshold
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
-        np.testing.assert_array_equal(a.model.means, b.model.means)

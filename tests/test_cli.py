@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -188,6 +190,143 @@ class TestServe:
         )
         assert code == 2
         assert "divide" in capsys.readouterr().err
+
+
+def _drop_progress(out: str) -> list[str]:
+    """Output lines minus the training banner and per-window lines."""
+    return [
+        line
+        for line in out.splitlines()
+        if not line.startswith(("training offline engine", "  cursor"))
+    ]
+
+
+class TestServeTrace:
+    """``serve --trace``: the streaming replay path."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("serve-trace")
+        paths = {}
+        for suffix, flags in ((".npz", ["--uncompressed"]), (".csv", [])):
+            paths[suffix] = root / f"memtier{suffix}"
+            assert main(
+                [
+                    "generate-trace",
+                    "memtier",
+                    "-n",
+                    "24000",
+                    "-o",
+                    str(paths[suffix]),
+                    *flags,
+                ]
+            ) == 0
+        return paths
+
+    @pytest.fixture(scope="class")
+    def npz_out(self, traces):
+        return self._run(traces[".npz"])
+
+    @staticmethod
+    def _run(path, *extra):
+        buffer = io.StringIO()
+        argv = ["serve", "--trace", str(path), "--chunk", "1024"]
+        with contextlib.redirect_stdout(buffer):
+            assert main([*argv, "--components", "6", *extra]) == 0
+        return buffer.getvalue()
+
+    def test_npz_and_csv_print_the_same_output(self, traces, npz_out):
+        csv_out = self._run(traces[".csv"]).splitlines()
+        assert csv_out[0] == (
+            f"training offline engine on 7,200 requests from"
+            f" {traces['.csv']}..."
+        )
+        assert csv_out[1:] == npz_out.splitlines()[1:]
+
+    def test_report_window_does_not_change_results(self, traces, npz_out):
+        # Refresh swaps engines mid-stream, so a chunking that
+        # depended on the window would move drift and swap timing.
+        assert "[engine swapped]" in npz_out
+        one = self._run(traces[".npz"], "--report-every", "1")
+        three = self._run(traces[".npz"], "--report-every", "3")
+        assert one.count("  cursor") == 24
+        assert three.count("  cursor") == 8
+        assert _drop_progress(one) == _drop_progress(npz_out)
+        assert _drop_progress(three) == _drop_progress(npz_out)
+
+
+class TestServeMalformedTrace:
+    """A bad row past the first read window is an error, not a crash."""
+
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        from repro.serving import IcgmmCacheService
+
+        calls = []
+        original = IcgmmCacheService.close
+
+        def close(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(IcgmmCacheService, "close", close)
+        return calls
+
+    @staticmethod
+    def _write(tmp_path, replace=None, trailer=""):
+        path = tmp_path / "trace.csv"
+        assert main(
+            ["generate-trace", "memtier", "-n", "4000", "-o", str(path)]
+        ) == 0
+        lines = path.read_text().splitlines()
+        if replace is not None:
+            line_number, row = replace
+            lines[line_number - 1] = row
+        path.write_text("\n".join(lines) + "\n" + trailer)
+        return path
+
+    def _serve(self, path):
+        return main(
+            [
+                "serve",
+                "--trace",
+                str(path),
+                "--chunk",
+                "256",
+                "--report-every",
+                "1",
+                "--components",
+                "4",
+            ]
+        )
+
+    def test_bad_row_in_training_prefix(self, tmp_path, capsys, closes):
+        # 4000 rows train on the first 1200: line 700 is in the prefix
+        # but past the first 256-row read window.
+        path = self._write(tmp_path, replace=(700, "R,notanint,5"))
+        assert self._serve(path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "notanint" in captured.err
+        assert "training offline engine" not in captured.out
+        assert closes == []  # failed before the service existed
+
+    def test_bad_row_while_serving(self, tmp_path, capsys, closes):
+        path = self._write(tmp_path, replace=(3000, "R,notanint,5"))
+        assert self._serve(path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "notanint" in captured.err
+        assert "  cursor" in captured.out
+        assert "total: " not in captured.out
+        assert len(closes) == 1
+
+    def test_trailing_blank_lines(self, tmp_path, capsys, closes):
+        path = self._write(tmp_path, trailer="\n\n")
+        assert self._serve(path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 4002: expected 3 fields, got 0\n"
+        assert len(closes) == 1
 
 
 class TestHardwareReport:
