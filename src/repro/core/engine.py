@@ -144,9 +144,10 @@ class GmmPolicyEngine:
     def score(self, features: np.ndarray) -> np.ndarray:
         """Mixture density per request, shape ``(N,)``.
 
-        The whole stream is scored in one vectorised pass: the score is
-        a pure function of (page, timestamp), exactly like the hardware
-        pipeline that evaluates each request independently.
+        The score is a pure function of (page, timestamp), exactly like
+        the hardware pipeline that evaluates each request
+        independently: scoring a stream in chunks gives the same bits
+        as scoring it whole.
         """
         scaled = self.scaler.transform(features)
         if self.quantized is not None:

@@ -167,11 +167,26 @@ def log_gaussian_density(
     Implements the log of Eq. 1 of the paper for every (point, component)
     pair.  Returns shape ``(N, K)``.
     """
+    factors = cholesky_batch(covariances)
+    return log_density_from_cholesky(
+        points, means, factors, log_det_from_cholesky(factors)
+    )
+
+
+def log_density_from_cholesky(
+    points: np.ndarray,
+    means: np.ndarray,
+    cholesky_factors: np.ndarray,
+    log_det: np.ndarray,
+) -> np.ndarray:
+    """:func:`log_gaussian_density` from precomputed factors.
+
+    The exact triangular-solve density: the reference EM's E-step,
+    the quadratic-form scorers' fallback, and the tests' oracle.
+    """
     points = np.asarray(points, dtype=np.float64)
     d = points.shape[1]
-    factors = cholesky_batch(covariances)
-    maha = mahalanobis_squared_batch(points, means, factors)
-    log_det = log_det_from_cholesky(factors)  # (K,)
+    maha = mahalanobis_squared_batch(points, means, cholesky_factors)
     return -0.5 * (d * np.log(2.0 * np.pi) + log_det[None, :] + maha)
 
 

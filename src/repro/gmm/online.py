@@ -108,9 +108,7 @@ class OnlineGmm:
             raise ValueError("batch must not be empty")
         # One density pass serves both the responsibilities and the
         # batch log-likelihood (its normaliser *is* the per-sample
-        # log-score) -- the former two-call version paid the full
-        # (N, K) triangular-solve twice per mini-batch, which
-        # dominated refresh latency.
+        # log-score).
         weighted = self._model.log_weighted_densities(points)
         log_norm = linalg.logsumexp(weighted, axis=1)
         resp = np.exp(weighted - log_norm[:, None])

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.config import REFRESH_MODES
 from repro.core.engine import GmmPolicyEngine
-from repro.gmm.em import EMTrainer, fast_log_score_samples
+from repro.gmm.em import EMTrainer
 from repro.gmm.online import OnlineGmm
 
 #: Sample budget of the warm fold-in's EM fit.  Refresh adapts an
@@ -266,13 +266,6 @@ class ModelRefresher:
             model = trainer.fit(
                 fit_points, warm_start=current.model
             ).model
-            # The quantile cut only needs score *ranks*; the fast
-            # quadratic scorer agrees with the exact one far below
-            # the threshold's resolution and keeps the recut off the
-            # refresh critical path.
-            refreshed_scores = np.exp(
-                fast_log_score_samples(model, scaled)
-            )
         else:
             online = OnlineGmm.from_model(
                 current.model,
@@ -284,9 +277,8 @@ class ModelRefresher:
                 if batch.shape[0] > 0:
                     online.update(batch)
             model = online.model
-            refreshed_scores = model.score_samples(scaled)
         threshold = float(
-            np.quantile(refreshed_scores, self.threshold_quantile)
+            np.quantile(model.score_samples(scaled), self.threshold_quantile)
         )
         self.refreshes_built += 1
         return GmmPolicyEngine(
