@@ -10,8 +10,8 @@ steady state:
   changes, so post-drift traffic scores below its admission cut and
   the service bypasses/evicts exactly the pages that just became hot;
 * **online** -- the serving subsystem's drift-aware refresh: the
-  score-drift detector fires, recent chunks are folded into the
-  mixture by stepwise EM, and the refreshed engine is swapped in;
+  score-drift detector fires, recent chunks refit the mixture by
+  warm-started EM, and the refreshed engine is swapped in;
 * **oracle** -- an engine batch-trained on post-drift traffic (upper
   bound).
 

@@ -3,7 +3,7 @@
 Measures accesses/second of the scalar reference simulator
 (:func:`repro.cache.setassoc.simulate`) and the chunked vectorized
 engine (:func:`repro.cache.simulate_fast.simulate_fast`) across the
-policy zoo, several trace lengths, and three trace shapes, asserting
+policy zoo, several trace lengths, and four trace shapes, asserting
 bit-identical counters between the paths on every run, and emits a
 machine-readable ``BENCH_sim_throughput.json``.
 
@@ -15,23 +15,18 @@ Trace shapes:
   synthetic standard-normal scores with the admission threshold at
   the 10th percentile (score *values* do not affect throughput, only
   the admit/bypass mix does).
-* ``hammer-page`` -- 90% of accesses hammer a single page: the
-  per-page run-length batching fast path (PR 4).
+* ``hammer-page`` -- 90% of accesses hammer a single page.
 * ``hammer-set`` -- 6 distinct pages that all collide in one cache
-  set: the same-set run collapse fast path.  Each row also times the
-  fast engine with ``set_run_collapse=False``; the recorded
-  ``set_run_speedup`` is the collapse's own contribution, and the
-  validator requires >= 2x on this shape for every
-  ``supports_set_runs`` policy (full runs only).
+  set: every access after a set's first touch in a chunk is a narrow
+  same-set round, so almost all of the trace runs in the exact scalar
+  tail.
 * ``set-pingpong`` -- short same-set spans (12 runs of consecutive
-  distinct tags, 3 accesses per run -- well under the
-  ``SET_RUN_MIN_SPAN_REPS`` collapse threshold) rotating across 16
-  sets: the *interrupted-span* shape that defeats both the long-span
-  collapse and per-element rounds.  Each row also times the fast
-  engine with ``short_span_batching=False``; the recorded
-  ``short_span_speedup`` is the cross-set short-span batcher's own
-  contribution, and the validator requires >= 2x on this shape for
-  every ``supports_set_runs`` policy (full runs only).
+  distinct tags, 3 accesses per run) rotating across 16 sets: again
+  rounds of at most 16 accesses, so the scalar tail carries it.
+
+Policies without a vector kernel (``random``) run the reference loop
+in both columns; their rows are marked ``reference_fallback`` and
+record no speedup.
 
 Unlike the pytest-benchmark ablation benches this is a standalone
 script (no fixtures, no GMM training) so it can run in seconds and in
@@ -64,6 +59,7 @@ from repro.cache.policies import (
     SlruPolicy,
     TwoQPolicy,
 )
+from repro.cache.policies.kernels import kernel_for
 from repro.cache.setassoc import (
     CacheGeometry,
     SetAssociativeCache,
@@ -78,32 +74,15 @@ RESULT_SCHEMA = {
     "trace_length": int,
     "reference_s": float,
     "fast_s": float,
-    "fast_no_collapse_s": float,
-    "fast_no_short_span_s": float,
     "reference_accesses_per_s": float,
     "fast_accesses_per_s": float,
-    "speedup": float,
-    "set_run_speedup": float,
-    "short_span_speedup": float,
+    "reference_fallback": bool,
     "stats_identical": bool,
     "miss_rate": float,
 }
 
 HOT_FRACTION = 0.8
 WRITE_FRACTION = 0.3
-
-#: Policies whose kernels collapse same-set runs; the validator's
-#: >= 2x ``set_run_speedup`` gate on the ``hammer-set`` trace applies
-#: to these (full runs only).
-SET_RUN_POLICIES = ("lru", "fifo", "lfu", "clock", "2q", "gmm",
-                    "counter-random", "belady")
-
-#: Acceptance gate on ``hammer-set`` rows of full runs.
-MIN_SET_RUN_SPEEDUP = 2.0
-
-#: Acceptance gate on ``set-pingpong`` rows of full runs: the
-#: cross-set short-span batcher against the pre-batcher fast path.
-MIN_SHORT_SPAN_SPEEDUP = 2.0
 
 
 def make_trace(
@@ -124,11 +103,8 @@ def make_trace(
         pages = rng.integers(0, 6, n) * geometry.n_sets
     elif kind == "set-pingpong":
         # Interrupted spans: each span is 12 runs of *consecutive
-        # distinct* tags within one set (3 accesses per run, so run
-        # batching engages), and spans rotate across 16 sets.  Every
-        # span is far under the collapse threshold, so the stream
-        # defeats both the long-span collapse and per-element
-        # rounds -- the shape mechanism 6 exists for.
+        # distinct* tags within one set (3 accesses per run), and
+        # spans rotate across 16 sets.
         reps, tags, run_len, sets_used = 12, 6, 3, 16
         n_spans = n // (reps * run_len) + 2
         set_of = np.arange(n_spans) % sets_used
@@ -162,13 +138,10 @@ def policy_factories(pages: np.ndarray, threshold: float):
 
 
 def bench_one(geometry, make_policy, pages, is_write, scores, warmup):
-    """Time all four paths once.
+    """Time the reference loop and the fast engine once.
 
-    Returns ``(ref_s, fast_s, fast_plain_s, fast_long_only_s,
-    identical, miss_rate)`` where ``fast_plain_s`` is the fast engine
-    with set-run collapse disabled and ``fast_long_only_s`` keeps the
-    collapse but disables cross-set short-span batching (the pre-PR
-    fast path) -- identity is asserted across all four.
+    Returns ``(ref_s, fast_s, identical, miss_rate)``; ``identical``
+    covers the counters and every cache plane.
     """
     ref_cache = SetAssociativeCache(geometry)
     ref_policy = make_policy()
@@ -188,76 +161,40 @@ def bench_one(geometry, make_policy, pages, is_write, scores, warmup):
     )
     fast_s = time.perf_counter() - t0
 
-    plain_cache = SetAssociativeCache(geometry)
-    plain_policy = make_policy()
-    t0 = time.perf_counter()
-    plain_stats = simulate_fast(
-        plain_cache, plain_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
-        set_run_collapse=False,
-    )
-    plain_s = time.perf_counter() - t0
-
-    long_cache = SetAssociativeCache(geometry)
-    long_policy = make_policy()
-    t0 = time.perf_counter()
-    long_stats = simulate_fast(
-        long_cache, long_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
-        short_span_batching=False,
-    )
-    long_s = time.perf_counter() - t0
-
     identical = bool(
         ref_stats == fast_stats
-        and ref_stats == plain_stats
-        and ref_stats == long_stats
         and np.array_equal(ref_cache.tags, fast_cache.tags)
         and np.array_equal(ref_cache.dirty, fast_cache.dirty)
         and np.array_equal(ref_cache.meta, fast_cache.meta)
         and np.array_equal(ref_cache.stamp, fast_cache.stamp)
-        and np.array_equal(ref_cache.tags, plain_cache.tags)
-        and np.array_equal(ref_cache.dirty, plain_cache.dirty)
-        and np.array_equal(ref_cache.meta, plain_cache.meta)
-        and np.array_equal(ref_cache.stamp, plain_cache.stamp)
-        and np.array_equal(ref_cache.tags, long_cache.tags)
-        and np.array_equal(ref_cache.dirty, long_cache.dirty)
-        and np.array_equal(ref_cache.meta, long_cache.meta)
-        and np.array_equal(ref_cache.stamp, long_cache.stamp)
     )
-    return (
-        ref_s, fast_s, plain_s, long_s, identical,
-        ref_stats.miss_rate,
-    )
+    return ref_s, fast_s, identical, ref_stats.miss_rate
 
 
 def run(matrix, policies, geometry, warmup=0.0):
     """Benchmark ``(trace_kind, length)`` pairs x policies."""
     results = []
+    probe = SetAssociativeCache(geometry)
     for kind, n in matrix:
         pages, is_write, scores = make_trace(n, geometry, kind)
         threshold = float(np.quantile(scores, 0.1))
         factories = policy_factories(pages, threshold)
         for name in policies:
-            (
-                ref_s, fast_s, plain_s, long_s, identical, miss_rate,
-            ) = bench_one(
+            ref_s, fast_s, identical, miss_rate = bench_one(
                 geometry, factories[name], pages, is_write,
                 scores, warmup,
             )
+            fallback = kernel_for(factories[name](), probe) is None
             row = {
                 "policy": name,
                 "trace": kind,
                 "trace_length": int(n),
                 "reference_s": round(ref_s, 4),
                 "fast_s": round(fast_s, 4),
-                "fast_no_collapse_s": round(plain_s, 4),
-                "fast_no_short_span_s": round(long_s, 4),
                 "reference_accesses_per_s": round(n / ref_s, 1),
                 "fast_accesses_per_s": round(n / fast_s, 1),
-                "speedup": round(ref_s / fast_s, 2),
-                "set_run_speedup": round(plain_s / fast_s, 2),
-                "short_span_speedup": round(long_s / fast_s, 2),
+                "reference_fallback": fallback,
+                "speedup": None if fallback else round(ref_s / fast_s, 2),
                 "stats_identical": identical,
                 "miss_rate": round(miss_rate, 4),
             }
@@ -266,10 +203,12 @@ def run(matrix, policies, geometry, warmup=0.0):
                 f"{name:8s} {kind:12s} n={n:>9,d}"
                 f"  ref {row['reference_accesses_per_s']:>12,.0f}/s"
                 f"  fast {row['fast_accesses_per_s']:>12,.0f}/s"
-                f"  speedup {row['speedup']:6.1f}x"
-                f"  set-run {row['set_run_speedup']:5.1f}x"
-                f"  short-span {row['short_span_speedup']:5.1f}x"
-                f"  identical={identical}"
+                + (
+                    "  reference fallback"
+                    if fallback
+                    else f"  speedup {row['speedup']:6.1f}x"
+                )
+                + f"  identical={identical}"
             )
     return results
 
@@ -294,29 +233,17 @@ def validate(payload: dict) -> list[str]:
                 )
         if not row.get("stats_identical", False):
             problems.append(f"results[{i}]: fast/reference diverged")
-        if (
-            not payload.get("smoke")
-            and row.get("trace") == "hammer-set"
-            and row.get("policy") in SET_RUN_POLICIES
-            and row.get("set_run_speedup", 0.0) < MIN_SET_RUN_SPEEDUP
-        ):
-            problems.append(
-                f"results[{i}]: set-run collapse speedup"
-                f" {row.get('set_run_speedup')} <"
-                f" {MIN_SET_RUN_SPEEDUP}x on hammer-set"
-            )
-        if (
-            not payload.get("smoke")
-            and row.get("trace") == "set-pingpong"
-            and row.get("policy") in SET_RUN_POLICIES
-            and row.get("short_span_speedup", 0.0)
-            < MIN_SHORT_SPAN_SPEEDUP
-        ):
-            problems.append(
-                f"results[{i}]: short-span batching speedup"
-                f" {row.get('short_span_speedup')} <"
-                f" {MIN_SHORT_SPAN_SPEEDUP}x on set-pingpong"
-            )
+        # A reference-fallback row times the same loop twice, so its
+        # ratio is noise and is not recorded.
+        speedup = row.get("speedup")
+        if row.get("reference_fallback"):
+            if speedup is not None:
+                problems.append(
+                    f"results[{i}]: reference-fallback row records a"
+                    " speedup"
+                )
+        elif not isinstance(speedup, (int, float)):
+            problems.append(f"results[{i}].speedup: not numeric")
     return problems
 
 

@@ -47,10 +47,6 @@ PARALLEL_BACKENDS = ("thread", "process")
 EM_SEEDINGS = ("fast", "reference")
 EM_RESTART_MODES = ("batched", "sequential")
 
-#: Valid values of :attr:`ServingConfig.refresh_mode`
-#: (see :class:`repro.serving.refresh.ModelRefresher`).
-REFRESH_MODES = ("warm", "stepwise")
-
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -676,9 +672,9 @@ class ServingConfig:
     The service runs the paper's pipeline continuously: chunks of the
     live request stream are scored under the currently-loaded engine,
     simulated against sharded cache planes, watched for score-
-    distribution drift, and periodically folded into an
-    :class:`repro.gmm.OnlineGmm` whose refreshed parameters are
-    atomically swapped in (the software analogue of the FPGA
+    distribution drift, and periodically used to refit the mixture
+    (warm-started EM), whose refreshed parameters are atomically
+    swapped in (the software analogue of the FPGA
     weight-buffer reload of Sec. 3.3).
 
     Attributes
@@ -725,20 +721,11 @@ class ServingConfig:
         Master switch; with ``False`` the engine stays frozen (the
         paper's deployment) and the loop is exactly reproducible
         against a single-shot run.
-    refresh_mode:
-        Fold-in algorithm of the
-        :class:`~repro.serving.refresh.ModelRefresher`: ``"warm"``
-        (default; warm-started batch EM through the training fast
-        path -- skips seeding, converges in a few fused passes) or
-        ``"stepwise"`` (the original mini-batch stepwise-EM fold).
     refresh_max_iter:
-        EM iteration budget of the ``"warm"`` fold-in.
+        EM iteration budget of the refresh's warm-started refit
+        (:class:`~repro.serving.refresh.ModelRefresher`).
     refresh_buffer_chunks:
-        Recent chunks of features kept for the refresh fold-in.
-    refresh_batch_size:
-        Mini-batch size of the stepwise-EM updates.
-    refresh_step_exponent:
-        :class:`~repro.gmm.OnlineGmm` learning-rate exponent.
+        Recent chunks of features kept for the refresh refit.
     refresh_cooldown_chunks:
         Minimum chunks between consecutive engine swaps.
     metrics_window_chunks:
@@ -780,11 +767,8 @@ class ServingConfig:
     quantile_drift_tolerance: float = 0.25
     drift_patience: int = 2
     refresh_enabled: bool = True
-    refresh_mode: str = "warm"
     refresh_max_iter: int = 8
     refresh_buffer_chunks: int = 6
-    refresh_batch_size: int = 2048
-    refresh_step_exponent: float = 0.6
     refresh_cooldown_chunks: int = 4
     metrics_window_chunks: int = 8
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
@@ -824,21 +808,10 @@ class ServingConfig:
             raise ValueError("quantile_drift_tolerance must be > 0")
         if self.drift_patience < 1:
             raise ValueError("drift_patience must be >= 1")
-        if self.refresh_mode not in REFRESH_MODES:
-            raise ValueError(
-                f"refresh_mode must be one of {REFRESH_MODES}, got"
-                f" {self.refresh_mode!r}"
-            )
         if self.refresh_max_iter < 1:
             raise ValueError("refresh_max_iter must be >= 1")
         if self.refresh_buffer_chunks < 1:
             raise ValueError("refresh_buffer_chunks must be >= 1")
-        if self.refresh_batch_size < 1:
-            raise ValueError("refresh_batch_size must be >= 1")
-        if not 0.5 < self.refresh_step_exponent <= 1.0:
-            raise ValueError(
-                "refresh_step_exponent must be in (0.5, 1]"
-            )
         if self.refresh_cooldown_chunks < 0:
             raise ValueError("refresh_cooldown_chunks must be >= 0")
         if self.metrics_window_chunks < 1:

@@ -3,7 +3,7 @@
 The paper evaluates a frozen, single-tenant pipeline offline; this
 package runs the same loop continuously against live multi-tenant
 traffic -- chunked scoring, sharded resumable simulation, score-drift
-detection, and stepwise-EM model refresh with atomic engine swaps
+detection, and warm-started EM model refresh with atomic engine swaps
 (the software analogue of the FPGA weight-buffer reload).  See
 ``docs/serving.md`` for the architecture and ``docs/robustness.md``
 for how the loop degrades and recovers under injected faults.

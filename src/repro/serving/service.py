@@ -20,9 +20,8 @@ on an access stream consumed in chunks:
    sequential replay,
 4. account per-shard and per-tenant rolling miss rate and Table 1
    latency from the recorded per-access outcomes, and
-5. when drift is confirmed, fold the recent traffic into an
-   :class:`~repro.gmm.OnlineGmm` and atomically swap the refreshed
-   engine in (:mod:`repro.serving.refresh` -- the software analogue
+5. when drift is confirmed, refit the mixture on the recent traffic
+   (warm-started EM) and atomically swap the refreshed engine in (:mod:`repro.serving.refresh` -- the software analogue
    of the FPGA weight-buffer reload).
 
 Exactness contract: with ``hash`` sharding and refresh disabled, the
@@ -212,10 +211,7 @@ class IcgmmCacheService:
         )
         self.refresher = ModelRefresher(
             buffer_chunks=self.serving.refresh_buffer_chunks,
-            batch_size=self.serving.refresh_batch_size,
-            step_exponent=self.serving.refresh_step_exponent,
             threshold_quantile=self.threshold_quantile,
-            mode=self.serving.refresh_mode,
             warm_max_iter=self.serving.refresh_max_iter,
             reg_covar=self.config.gmm.reg_covar,
         )

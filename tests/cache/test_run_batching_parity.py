@@ -1,14 +1,13 @@
-"""Differential tests: per-set run-length batching vs the reference.
+"""Differential tests: the fast simulator on page-run-heavy traces.
 
-The run-length engine of :mod:`repro.cache.simulate_fast` collapses
-consecutive same-page accesses into closed-form kernel updates
-(``on_hit_runs``) and replays bypassed runs' admission scans
-vectorized.  Its contract is the fast path's usual one -- *bit
-identical* counters, final cache planes, and per-access outcomes
-against the scalar reference -- stressed here with the hot-set-skewed
-traces run batching exists for: a single hammered page, a single
-scorching set, two-set ping-pong, long geometric runs, and
-memtier-style traffic with hot fraction 0.99.
+Pinned regression cases for traces dominated by consecutive
+same-page accesses (runs): a single hammered page, a single
+scorching set, two-set ping-pong, long geometric runs, sparse
+repeats, and memtier-style traffic with hot fraction 0.99.  The
+contract is the fast path's usual one -- *bit identical* counters,
+final cache planes, and per-access outcomes against the scalar
+reference.  ``tests/cache/test_simulate_fast_parity.py`` fuzzes the
+same shapes over random geometries and chunkings.
 """
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.cache.policies import (
     SlruPolicy,
     TwoQPolicy,
 )
-from repro.cache.policies.kernels import kernel_for
 from repro.cache.setassoc import (
     CacheGeometry,
     SetAssociativeCache,
@@ -36,7 +34,7 @@ from repro.cache.simulate_fast import simulate_fast
 from repro.core.policy import CombinedIcgmmPolicy
 
 #: Every registered-kernel policy (RandomPolicy is scalar-only by
-#: design and exercises no batching path).
+#: design and never reaches the vector engine).
 POLICY_FACTORIES = [
     ("lru", lambda pages, universe: LruPolicy()),
     ("fifo", lambda pages, universe: FifoPolicy()),
@@ -90,12 +88,11 @@ def _geometry(n_sets: int, ways: int) -> CacheGeometry:
 
 
 def _hot_traces(n_sets: int):
-    """The hot-set-skewed page streams run batching targets."""
+    """Hot-set-skewed page streams with long same-page runs."""
     rng = np.random.default_rng(99)
     traces = {}
     traces["single-page"] = np.zeros(N, dtype=np.int64)
-    # One scorching set, a handful of distinct pages (pure conflict,
-    # repeat density above the run-batching gate).
+    # One scorching set, a handful of distinct pages (pure conflict).
     traces["single-set"] = (
         rng.integers(0, 4, N) * n_sets
     ).astype(np.int64)
@@ -116,8 +113,7 @@ def _hot_traces(n_sets: int):
     traces["runs-geometric"] = np.repeat(vals, reps)[:N].astype(
         np.int64
     )
-    # Sparse repeats: density below the gate, so batching must stand
-    # down chunk by chunk without changing anything.
+    # Sparse repeats: runs on only ~5% of accesses.
     traces["sparse-runs"] = np.where(
         rng.random(N) < 0.05,
         np.repeat(rng.integers(0, 500, N // 2 + 1), 2)[:N],
@@ -126,15 +122,11 @@ def _hot_traces(n_sets: int):
     return traces
 
 
-def _run_all_three(geometry, make, pages, is_write, scores, warmup,
-                   index_offset=0):
-    """Reference, unbatched fast, batched fast -- with outcomes."""
+def _run_both(geometry, make, pages, is_write, scores, warmup,
+              index_offset=0):
+    """Reference and fast engine, with outcomes."""
     results = []
-    for runner, kwargs in (
-        (simulate, {}),
-        (simulate_fast, {"run_batching": False}),
-        (simulate_fast, {"run_batching": True}),
-    ):
+    for runner in (simulate, simulate_fast):
         cache = SetAssociativeCache(geometry)
         policy = make(pages, int(pages.max()) + 1)
         outcome = np.empty(pages.shape[0], dtype=np.uint8)
@@ -147,7 +139,6 @@ def _run_all_three(geometry, make, pages, is_write, scores, warmup,
             warmup_fraction=warmup,
             index_offset=index_offset,
             outcome=outcome,
-            **kwargs,
         )
         results.append((stats, cache, outcome))
     return results
@@ -165,16 +156,13 @@ def test_batched_matches_reference_on_hot_traces(
     for trace_name, pages in _hot_traces(n_sets).items():
         is_write = rng.random(N) < 0.3
         scores = rng.standard_normal(N)
-        (ref, ref_cache, ref_out), unbatched, (
-            bat,
-            bat_cache,
-            bat_out,
-        ) = _run_all_three(
-            geometry, make, pages, is_write, scores, warmup=0.2
+        (ref, ref_cache, ref_out), (bat, bat_cache, bat_out) = (
+            _run_both(
+                geometry, make, pages, is_write, scores, warmup=0.2
+            )
         )
         context = f"{name}/{trace_name}/{n_sets}x{ways}"
         assert ref == bat, f"{context}: counters diverge"
-        assert ref == unbatched[0], f"{context}: unbatched diverges"
         np.testing.assert_array_equal(
             ref_cache.tags, bat_cache.tags, err_msg=context
         )
@@ -198,8 +186,8 @@ def test_batched_matches_reference_on_hot_traces(
     ids=[n for n, _ in POLICY_FACTORIES if n != "belady"],
 )
 def test_batched_resumable_replay_matches(name, make):
-    """Chunked replay with index_offset stays exact under batching
-    (runs crossing chunk boundaries split without losing parity)."""
+    """Chunked replay with index_offset stays exact (runs crossing
+    chunk boundaries split without losing parity)."""
     geometry = _geometry(16, 4)
     pages = _hot_traces(16)["memtier-hot99"]
     rng = np.random.default_rng(3)
@@ -210,7 +198,6 @@ def test_batched_resumable_replay_matches(name, make):
     one_policy = make(pages, int(pages.max()) + 1)
     one = simulate_fast(
         one_cache, one_policy, pages, is_write, scores=scores,
-        run_batching=True,
     )
 
     chunk_cache = SetAssociativeCache(geometry)
@@ -226,7 +213,6 @@ def test_batched_resumable_replay_matches(name, make):
             is_write[start:stop],
             scores=scores[start:stop],
             index_offset=start,
-            run_batching=True,
         )
         total = stats if total is None else total.merge(stats)
     assert total == one, name
@@ -234,18 +220,9 @@ def test_batched_resumable_replay_matches(name, make):
     np.testing.assert_array_equal(one_cache.stamp, chunk_cache.stamp)
 
 
-def test_decaying_lfu_declines_hit_runs():
-    """Float decay has no exact closed form, so its kernel opts out
-    of run collapse (and stays exact through the plain path)."""
-    geometry = _geometry(8, 4)
-    cache = SetAssociativeCache(geometry)
-    assert kernel_for(LfuPolicy(decay=0.9), cache).supports_hit_runs is False
-    assert kernel_for(LfuPolicy(), cache).supports_hit_runs is True
-
-
 def test_bypass_runs_replay_admission_exactly():
-    """A hammered page scoring around the admission cut exercises the
-    bypassed-run scan: refusals, the first admitted fill, then hits."""
+    """Hammered pages scoring around the admission cut: runs of
+    refusals, a first admitted fill, then hits."""
     geometry = _geometry(4, 2)
     n = 6_000
     rng = np.random.default_rng(21)
@@ -262,10 +239,8 @@ def test_bypass_runs_replay_admission_exactly():
     def make(pages_, universe):
         return GmmCachePolicy(threshold=0.1, eviction=True)
 
-    (ref, ref_cache, ref_out), _, (bat, bat_cache, bat_out) = (
-        _run_all_three(
-            geometry, make, pages, is_write, scores, warmup=0.1
-        )
+    (ref, ref_cache, ref_out), (bat, bat_cache, bat_out) = _run_both(
+        geometry, make, pages, is_write, scores, warmup=0.1
     )
     assert ref.bypasses > 0  # the scenario actually triggers
     assert ref == bat

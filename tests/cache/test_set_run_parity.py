@@ -1,15 +1,16 @@
-"""Differential tests: same-set run collapse vs the reference.
+"""Differential tests: the fast simulator on set-skewed traces.
 
-The set-run engine of :mod:`repro.cache.simulate_fast` collapses a
-contiguous same-set span of runs into one round element -- grouped
-per-way ``on_hit_runs`` composites plus exact sequential miss
-resolution -- for kernels whose hit updates commute across ways
-(``supports_set_runs``).  Contract: *bit identical* counters, final
-cache planes, and per-access outcome codes against both the scalar
-reference and the uncollapsed fast path, on the set-skewed traces the
-mechanism exists for; and order-dependent kernels (SLRU, decayed LFU)
-must refuse the collapse entirely while staying exact through the
-plain path.
+Pinned regression cases for traces that pile many distinct pages
+onto one or a few cache sets: a single scorching set whose working
+set fits or thrashes its ways, burst ping-pong between two sets,
+memtier-style hot keys stacked in one set, and short same-set spans
+rotating across sets.  Narrow same-set rounds send most of these
+accesses to the scalar tail, so they pin the round/tail hand-off.
+Contract: *bit identical* counters, final cache planes, and
+per-access outcome codes against the scalar reference, for every
+registered kernel (order-dependent ones -- SLRU, decayed LFU --
+included).  ``tests/cache/test_simulate_fast_parity.py`` fuzzes the
+same shapes over random geometries and chunkings.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.cache.policies import (
     SlruPolicy,
     TwoQPolicy,
 )
-from repro.cache.policies.kernels import kernel_for
 from repro.cache.setassoc import (
     CacheGeometry,
     SetAssociativeCache,
@@ -36,8 +36,8 @@ from repro.cache.setassoc import (
 from repro.cache.simulate_fast import simulate_fast
 from repro.core.policy import CombinedIcgmmPolicy
 
-#: Kernels whose hit updates commute across ways (the collapse set).
-COMMUTATIVE_FACTORIES = [
+#: Every registered-kernel policy.
+POLICY_FACTORIES = [
     ("lru", lambda pages, universe: LruPolicy()),
     ("fifo", lambda pages, universe: FifoPolicy()),
     ("lfu", lambda pages, universe: LfuPolicy()),
@@ -74,10 +74,6 @@ COMMUTATIVE_FACTORIES = [
             },
         ),
     ),
-]
-
-#: Order-dependent kernels: must refuse set runs, stay exact anyway.
-ORDER_DEPENDENT_FACTORIES = [
     ("slru", lambda pages, universe: SlruPolicy()),
     ("lfu-decay", lambda pages, universe: LfuPolicy(decay=0.9)),
 ]
@@ -94,7 +90,7 @@ def _geometry(n_sets: int, ways: int) -> CacheGeometry:
 
 
 def _set_skewed_traces(n_sets: int, ways: int):
-    """The set-skewed streams the collapse targets."""
+    """Set-skewed page streams."""
     rng = np.random.default_rng(31)
     traces = {}
     # One scorching set, working set fits: long all-hit spans.
@@ -103,8 +99,7 @@ def _set_skewed_traces(n_sets: int, ways: int):
         rng.integers(0, fitting, N) * n_sets
     ).astype(np.int64)
     # One scorching set, working set overflows: constant conflict
-    # misses exercise the sequential miss resolution and the
-    # miss-density bail.
+    # misses.
     traces["single-set-thrash"] = (
         rng.integers(0, 2 * ways, N) * n_sets
     ).astype(np.int64)
@@ -124,14 +119,11 @@ def _set_skewed_traces(n_sets: int, ways: int):
     return traces
 
 
-def _run_three(geometry, make, pages, is_write, scores, warmup):
-    """Reference, fast without collapse, fast with collapse."""
+def _run_both(geometry, make, pages, is_write, scores, warmup,
+              **fast_kwargs):
+    """Reference and fast engine, with outcomes."""
     results = []
-    for runner, kwargs in (
-        (simulate, {}),
-        (simulate_fast, {"set_run_collapse": False}),
-        (simulate_fast, {"set_run_collapse": True}),
-    ):
+    for runner, kwargs in ((simulate, {}), (simulate_fast, fast_kwargs)):
         cache = SetAssociativeCache(geometry)
         policy = make(pages, int(pages.max()) + 1)
         outcome = np.empty(pages.shape[0], dtype=np.uint8)
@@ -169,10 +161,7 @@ def _assert_identical(reference, other, context):
 
 
 @pytest.mark.parametrize(
-    "name,make",
-    COMMUTATIVE_FACTORIES + ORDER_DEPENDENT_FACTORIES,
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES]
-    + [n for n, _ in ORDER_DEPENDENT_FACTORIES],
+    "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
 )
 @pytest.mark.parametrize("n_sets,ways", [(64, 8), (8, 4), (1, 4)])
 def test_collapse_bit_identical_on_set_skewed_traces(
@@ -183,51 +172,40 @@ def test_collapse_bit_identical_on_set_skewed_traces(
     for trace_name, pages in _set_skewed_traces(n_sets, ways).items():
         is_write = rng.random(N) < 0.3
         scores = rng.standard_normal(N) * 0.4
-        reference, plain, collapsed = _run_three(
+        reference, fast = _run_both(
             geometry, make, pages, is_write, scores, warmup=0.2
         )
-        context = f"{name}/{trace_name}/{n_sets}x{ways}"
-        _assert_identical(reference, plain, context + "/plain")
-        _assert_identical(reference, collapsed, context + "/collapse")
+        _assert_identical(
+            reference, fast, f"{name}/{trace_name}/{n_sets}x{ways}"
+        )
 
 
 @pytest.mark.parametrize(
-    "name,make",
-    COMMUTATIVE_FACTORIES + ORDER_DEPENDENT_FACTORIES,
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES]
-    + [n for n, _ in ORDER_DEPENDENT_FACTORIES],
+    "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
 )
-def test_collapse_with_short_spans_forced(name, make, monkeypatch):
-    """Dropping the span-length threshold forces the resolver onto
-    every multi-run span (short bursts included), covering the
-    expansion/round interleaving that the default threshold skips."""
-    import sys
-
-    # The package re-exports simulate_fast the *function* under the
-    # module's dotted name, so patch the module object directly.
-    module = sys.modules["repro.cache.simulate_fast"]
-    monkeypatch.setattr(module, "SET_RUN_MIN_SPAN_REPS", 2)
+def test_collapse_with_short_spans_forced(name, make):
+    """Small chunks and a unit round width force every set-skewed
+    access through the vector rounds instead of the scalar tail."""
     geometry = _geometry(16, 4)
     rng = np.random.default_rng(13)
     for trace_name, pages in _set_skewed_traces(16, 4).items():
         is_write = rng.random(N) < 0.3
         scores = rng.standard_normal(N) * 0.4
-        reference, _, collapsed = _run_three(
-            geometry, make, pages, is_write, scores, warmup=0.1
+        reference, fast = _run_both(
+            geometry, make, pages, is_write, scores, warmup=0.1,
+            chunk_size=257, min_round_width=1,
         )
-        _assert_identical(
-            reference, collapsed, f"{name}/{trace_name}/forced"
-        )
+        _assert_identical(reference, fast, f"{name}/{trace_name}/forced")
 
 
 @pytest.mark.parametrize(
     "name,make",
-    [p for p in COMMUTATIVE_FACTORIES if p[0] != "belady"],
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES if n != "belady"],
+    [p for p in POLICY_FACTORIES if p[0] != "belady"],
+    ids=[n for n, _ in POLICY_FACTORIES if n != "belady"],
 )
 def test_collapse_resumable_chunked_replay(name, make):
-    """Chunked replay with index_offset stays exact under collapse
-    (spans straddling chunk boundaries split without losing parity)."""
+    """Chunked replay with index_offset stays exact (same-set spans
+    straddling chunk boundaries split without losing parity)."""
     geometry = _geometry(4, 4)
     pages = _set_skewed_traces(4, 4)["memtier-hot99"]
     rng = np.random.default_rng(7)
@@ -238,7 +216,6 @@ def test_collapse_resumable_chunked_replay(name, make):
     one_policy = make(pages, int(pages.max()) + 1)
     one = simulate_fast(
         one_cache, one_policy, pages, is_write, scores=scores,
-        set_run_collapse=True,
     )
 
     chunk_cache = SetAssociativeCache(geometry)
@@ -254,7 +231,6 @@ def test_collapse_resumable_chunked_replay(name, make):
             is_write[start:stop],
             scores=scores[start:stop],
             index_offset=start,
-            set_run_collapse=True,
         )
         total = stats if total is None else total.merge(stats)
     assert total == one, name
@@ -265,37 +241,21 @@ def test_collapse_resumable_chunked_replay(name, make):
 
 @pytest.mark.parametrize(
     "name,make",
-    [p for p in COMMUTATIVE_FACTORIES if p[0] != "belady"],
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES if n != "belady"],
+    [p for p in POLICY_FACTORIES if p[0] != "belady"],
+    ids=[n for n, _ in POLICY_FACTORIES if n != "belady"],
 )
-def test_short_span_resumable_chunked_replay(name, make, monkeypatch):
-    """Chunk-straddling resumable replay through the *cross-set
-    short-span* path: with the span threshold forced *up* every
-    multi-rep span counts as short, the density gate forced to zero
-    makes them all batch through ``_resolve_short_spans``, and an
-    odd chunk step splits spans across chunk boundaries.  Totals and
-    final planes must stay bit-identical to both the unbatched fast
-    path and the scalar reference."""
-    import sys
-
-    module = sys.modules["repro.cache.simulate_fast"]
-    monkeypatch.setattr(module, "SET_RUN_MIN_SPAN_REPS", 10**9)
-    monkeypatch.setattr(module, "SHORT_SPAN_MIN_ROUND_REPS", 0)
-    fired = []
-    inner = module._resolve_short_spans
-
-    def counting(*args, **kwargs):
-        fired.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, "_resolve_short_spans", counting)
+def test_short_span_resumable_chunked_replay(name, make):
+    """Chunk-straddling resumable replay of short same-set spans
+    alternating between two sets, with outcome buffers: totals,
+    final planes and outcome codes must stay bit-identical to the
+    scalar reference."""
     geometry = _geometry(8, 4)
     pages = _set_skewed_traces(8, 4)["2set-pingpong"]
     rng = np.random.default_rng(19)
     is_write = rng.random(N) < 0.3
     scores = rng.standard_normal(N) * 0.4
 
-    reference, plain, _ = _run_three(
+    reference, _ = _run_both(
         geometry, make, pages, is_write, scores, warmup=0.0
     )
 
@@ -314,23 +274,16 @@ def test_short_span_resumable_chunked_replay(name, make, monkeypatch):
             scores=scores[start:stop],
             index_offset=start,
             outcome=chunk_out[start:stop],
-            set_run_collapse=True,
-            short_span_batching=True,
         )
         total = stats if total is None else total.merge(stats)
     chunked = (total, chunk_cache, chunk_out)
-    assert fired, "short-span batcher never engaged"
-    _assert_identical(reference, chunked, f"{name}/short-span/ref")
-    _assert_identical(plain, chunked, f"{name}/short-span/plain")
+    _assert_identical(reference, chunked, f"{name}/short-span")
 
 
 @pytest.mark.parametrize("strategy", ["lru", "gmm-caching-eviction"])
-def test_short_span_serving_workers_match(strategy, monkeypatch):
-    """Parallel shard replay (thread workers share the patched
-    module) through the forced short-span path is bit-identical to
-    the sequential loop."""
-    import sys
-
+def test_short_span_serving_workers_match(strategy):
+    """Parallel shard replay of a burst-heavy stream is bit-identical
+    to the sequential loop."""
     from repro.core.config import (
         GmmEngineConfig,
         IcgmmConfig,
@@ -340,13 +293,9 @@ def test_short_span_serving_workers_match(strategy, monkeypatch):
     from repro.core.engine import GmmPolicyEngine
     from repro.serving import IcgmmCacheService
 
-    module = sys.modules["repro.cache.simulate_fast"]
-    monkeypatch.setattr(module, "SET_RUN_MIN_SPAN_REPS", 10**9)
-    monkeypatch.setattr(module, "SHORT_SPAN_MIN_ROUND_REPS", 0)
-
     n, train = 40_000, 4_000
     rng = np.random.default_rng(29)
-    # Set-skewed bursts so short multi-rep spans actually form.
+    # Short same-page bursts.
     burst = np.repeat(rng.integers(0, 3000, n // 5 + 1), 5)[:n]
     pages = burst.astype(np.int64)
     is_write = rng.random(n) < 0.3
@@ -381,50 +330,3 @@ def test_short_span_serving_workers_match(strategy, monkeypatch):
             return service.totals, service.summary()
 
     assert serve(4) == serve(1)
-
-
-def test_order_dependent_kernels_refuse_set_runs():
-    """SLRU promotions can demote *other* ways and decayed-LFU hits
-    rescale the whole set row: both must refuse the collapse gate."""
-    cache = SetAssociativeCache(_geometry(8, 4))
-    assert kernel_for(SlruPolicy(), cache).supports_set_runs is False
-    assert (
-        kernel_for(LfuPolicy(decay=0.9), cache).supports_set_runs
-        is False
-    )
-    assert kernel_for(LfuPolicy(), cache).supports_set_runs is True
-    for name, make in COMMUTATIVE_FACTORIES:
-        if name in ("belady", "combined"):
-            continue
-        kernel = kernel_for(make(np.zeros(4, np.int64), 8), cache)
-        assert kernel.supports_set_runs is True, name
-
-
-def test_collapse_faster_on_single_set_hammer():
-    """The mechanism's raison d'etre: a single scorching set must run
-    far faster collapsed than through the per-element rounds."""
-    import time
-
-    geometry = CacheGeometry()  # paper geometry
-    n = 400_000
-    rng = np.random.default_rng(3)
-    pages = (rng.integers(0, 6, n) * geometry.n_sets).astype(np.int64)
-    is_write = rng.random(n) < 0.3
-    scores = rng.standard_normal(n)
-
-    timing = {}
-    for collapse in (True, False):
-        cache = SetAssociativeCache(geometry)
-        started = time.perf_counter()
-        stats = simulate_fast(
-            cache,
-            LruPolicy(),
-            pages,
-            is_write,
-            scores=scores,
-            set_run_collapse=collapse,
-        )
-        timing[collapse] = (time.perf_counter() - started, stats)
-    assert timing[True][1] == timing[False][1]
-    # Generous bound for CI noise; typical observed speedup is ~6x.
-    assert timing[True][0] < timing[False][0] / 1.5

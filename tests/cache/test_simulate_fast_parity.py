@@ -7,12 +7,17 @@ policy, on every trace.  These tests enforce it with randomized
 traces across cache geometries, warm-up settings, score streams, and
 chunking parameters (including degenerate chunk sizes that force the
 same-set round machinery and the scalar tail through every branch).
+:class:`TestDifferentialFuzz` is the randomized net over all of them
+at once: geometries up to 4096 sets x 16 ways, mixed trace shapes,
+resumable splits and outcome buffers.
 """
 
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.policies import (
     BeladyPolicy,
@@ -33,7 +38,11 @@ from repro.cache.setassoc import (
     SetAssociativeCache,
     simulate,
 )
-from repro.cache.simulate_fast import simulate_fast
+from repro.cache.simulate_fast import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_MIN_ROUND_WIDTH,
+    simulate_fast,
+)
 from repro.core.policy import CombinedIcgmmPolicy
 
 #: (name, factory(pages, universe)) for every policy in the zoo.
@@ -280,3 +289,173 @@ class TestKernelRegistry:
             lambda p, u: WeirdLru(),
             pages, is_write, scores, 0.0,
         )
+
+
+#: Policies of the differential fuzz: every registered kernel (LFU
+#: with and without decay, SLRU, GMM with admission, Belady,
+#: counter-random, ...) plus the no-kernel reference fallback.
+FUZZ_POLICIES = dict(
+    POLICY_FACTORIES
+    + [
+        (
+            "score-update",
+            lambda pages, universe: ScoreBasedPolicy(
+                threshold=0.1, update_score_on_hit=True
+            ),
+        ),
+    ]
+)
+
+#: Trace shapes of the differential fuzz.
+TRACE_SHAPES = (
+    "uniform",
+    "skew",
+    "hammer-page",
+    "hammer-set",
+    "set-pingpong",
+    "short-runs",
+    "sparse-runs",
+    "memtier-0.99",
+)
+
+
+def _shape_pages(shape, rng, n, n_sets, ways):
+    """``n`` pages of one trace shape for an ``n_sets x ways`` cache."""
+    blocks = n_sets * ways
+    cold = rng.integers(0, 8 * blocks + 8, n)
+    if shape == "uniform":
+        return rng.integers(0, 3 * blocks + 8, n)
+    if shape == "skew":
+        # 80% of accesses to a hot region half the block count.
+        hot = rng.integers(0, max(1, blocks // 2), n)
+        return np.where(rng.random(n) < 0.8, hot, cold)
+    if shape == "hammer-page":
+        # One page takes 90% of the traffic: long single-page runs.
+        return np.where(rng.random(n) < 0.9, 0, cold)
+    if shape == "hammer-set":
+        # A handful of distinct pages all in one set, from a working
+        # set that fits the ways to one that thrashes them.
+        tags = int(rng.integers(1, 2 * ways + 2))
+        return rng.integers(0, tags, n) * n_sets + rng.integers(n_sets)
+    if shape == "set-pingpong":
+        # Spans of runs of consecutive distinct tags within one set,
+        # rotating across a few sets (2-set ping-pong included).
+        reps = int(rng.integers(2, 13))
+        run_len = int(rng.integers(1, 5))
+        sets_used = int(rng.integers(2, 17))
+        tags = max(2, ways + int(rng.integers(-1, 3)))
+        n_spans = n // (reps * run_len) + 2
+        tag = rng.integers(0, tags, (n_spans, reps))
+        for k in range(1, reps):
+            same = tag[:, k] == tag[:, k - 1]
+            tag[same, k] = (tag[same, k] + 1) % tags
+        set_of = np.arange(n_spans) % sets_used
+        span_pages = tag * n_sets + set_of[:, None]
+        return np.repeat(span_pages.reshape(-1), run_len)[:n]
+    if shape == "short-runs":
+        # Geometric run lengths over a mid-size universe.
+        runs = rng.geometric(0.3, n)
+        return np.repeat(rng.integers(0, 3 * blocks + 8, n), runs)[:n]
+    if shape == "sparse-runs":
+        # Repeats on only ~5% of accesses.
+        pairs = np.repeat(rng.integers(0, blocks + 8, n // 2 + 1), 2)
+        return np.where(rng.random(n) < 0.05, pairs[:n], cold)
+    if shape == "memtier-0.99":
+        # Hot fraction 0.99 over a handful of keys, spread across
+        # sets or stacked in one, with a cold tail.
+        stride = n_sets if rng.random() < 0.5 else 1
+        hot = rng.integers(0, 5, n) * stride
+        return np.where(rng.random(n) < 0.99, hot, cold)
+    raise ValueError(shape)
+
+
+def _replay(runner, geometry, make, pages, is_write, scores, warmup,
+            split, record, **kwargs):
+    """One or two resumable calls (split at ``split``) of ``runner``;
+    the warm-up cut applies to the first call."""
+    cache = SetAssociativeCache(geometry)
+    policy = make(pages, int(pages.max()) + 1)
+    outcome = np.zeros(pages.shape[0], dtype=np.uint8) if record else None
+    cuts = [(0, split, warmup), (split, pages.shape[0], 0.0)]
+    total = None
+    for lo, hi, cut in cuts:
+        if hi <= lo:
+            continue
+        stats = runner(
+            cache, policy, pages[lo:hi], is_write[lo:hi],
+            scores=scores[lo:hi], warmup_fraction=cut,
+            index_offset=lo,
+            outcome=None if outcome is None else outcome[lo:hi],
+            **kwargs,
+        )
+        total = stats if total is None else total.merge(stats)
+    return total, cache, policy, outcome
+
+
+class TestDifferentialFuzz:
+    @pytest.mark.parametrize("policy", sorted(FUZZ_POLICIES))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sets=st.one_of(
+            st.integers(1, 64), st.sampled_from([256, 2048, 4096])
+        ),
+        ways=st.integers(1, 16),
+        shapes=st.lists(
+            st.sampled_from(TRACE_SHAPES), min_size=1, max_size=3
+        ),
+        n=st.integers(1, 1500),
+        chunk_size=st.one_of(
+            st.integers(1, 64),
+            st.integers(65, 4096),
+            st.just(DEFAULT_CHUNK_SIZE),
+        ),
+        min_round_width=st.one_of(
+            st.integers(1, 8),
+            st.integers(9, 256),
+            st.just(DEFAULT_MIN_ROUND_WIDTH),
+        ),
+        warmup=st.sampled_from([0.0, 0.25, 0.6]),
+        split=st.floats(0.0, 1.0),
+        record=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fast_matches_reference(
+        self, policy, n_sets, ways, shapes, n, chunk_size,
+        min_round_width, warmup, split, record, seed,
+    ):
+        """Stats, tags/dirty/meta/stamp and outcome codes of
+        ``simulate_fast`` are bit-identical to ``simulate`` under the
+        same (possibly split, resumable) call sequence."""
+        rng = np.random.default_rng(seed)
+        bounds = np.linspace(0, n, len(shapes) + 1).astype(int)
+        pages = np.concatenate(
+            [
+                _shape_pages(shape, rng, hi - lo, n_sets, ways)
+                for shape, lo, hi in zip(shapes, bounds, bounds[1:])
+            ]
+        ).astype(np.int64)
+        is_write = rng.random(n) < 0.3
+        scores = rng.standard_normal(n) * 0.4
+        geometry = _geometry(n_sets, ways)
+        make = FUZZ_POLICIES[policy]
+        cut = int(split * n)
+        ref = _replay(
+            simulate, geometry, make, pages, is_write, scores,
+            warmup, cut, record,
+        )
+        fast = _replay(
+            simulate_fast, geometry, make, pages, is_write, scores,
+            warmup, cut, record,
+            chunk_size=chunk_size, min_round_width=min_round_width,
+        )
+        (ref_stats, ref_cache, ref_policy, ref_out) = ref
+        (stats, cache, fast_policy, out) = fast
+        assert ref_stats == stats
+        np.testing.assert_array_equal(ref_cache.tags, cache.tags)
+        np.testing.assert_array_equal(ref_cache.dirty, cache.dirty)
+        np.testing.assert_array_equal(ref_cache.meta, cache.meta)
+        np.testing.assert_array_equal(ref_cache.stamp, cache.stamp)
+        if record:
+            np.testing.assert_array_equal(ref_out, out)
+        if isinstance(ref_policy, ClockPolicy):
+            assert ref_policy._hands == fast_policy._hands

@@ -1,4 +1,4 @@
-"""Tests for the engine slot and the stepwise-EM model refresher."""
+"""Tests for the engine slot and the warm-started EM model refresher."""
 
 import threading
 
@@ -167,9 +167,7 @@ class TestModelRefresher:
         pre = _features(0, 12_000, rng)
         post = _features(5_000, 12_000, rng)
         engine = _engine(pre)
-        refresher = ModelRefresher(
-            buffer_chunks=6, batch_size=1024, step_exponent=0.6
-        )
+        refresher = ModelRefresher(buffer_chunks=6)
         for start in range(0, 12_000, 2_000):
             refresher.ingest(post[start : start + 2_000])
         refreshed = refresher.build(engine)
@@ -202,7 +200,7 @@ class TestModelRefresher:
         with pytest.raises(ValueError):
             ModelRefresher(buffer_chunks=0)
         with pytest.raises(ValueError):
-            ModelRefresher(batch_size=0)
+            ModelRefresher(warm_max_iter=0)
         refresher = ModelRefresher()
         with pytest.raises(ValueError, match=r"\(N, 2\)"):
             refresher.ingest(np.zeros((5, 3)))
